@@ -3,7 +3,7 @@ GO ?= go
 # Packages whose correctness depends on concurrency (the parallel block
 # validation pipeline, the p2p node and its fault simulator) get a
 # dedicated -race pass.
-RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/...
+RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/...
 
 # Native fuzz targets over the three attacker-facing decoders. Each runs
 # for a short smoke budget; override FUZZTIME for longer campaigns.
@@ -45,7 +45,7 @@ bench:
 # benchmark's samples minutes apart, unlike -count=N's back-to-back
 # runs). BENCH_JSON names the snapshot file; PR snapshots are checked
 # in for diffing.
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= BENCH_PR12.json
 bench-json:
 	{ $(GO) test -run xxx -bench . -benchmem .; \
 	  $(GO) test -run xxx -bench . -benchmem .; \
@@ -55,7 +55,7 @@ bench-json:
 # baseline: per-series ns/op and allocs/op deltas, failing on >20%
 # ns/op regressions in any series present on both sides (after
 # normalizing out host drift, the median shift across shared series).
-BENCH_BASELINE ?= BENCH_PR9.json
+BENCH_BASELINE ?= BENCH_PR10.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -current $(BENCH_JSON)
 

@@ -567,6 +567,10 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	} else {
 		status["storeHealth"] = store.HealthHealthy.String()
 	}
+	// Ledger rows whose write failed; the ledger retries them each sweep.
+	if err := s.ledger.PersistErr(); err != nil {
+		status["ledgerPersistErr"] = err.Error()
+	}
 	if !s.start.IsZero() {
 		status["uptimeSeconds"] = time.Since(s.start).Seconds()
 	}

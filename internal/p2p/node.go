@@ -363,20 +363,16 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		}
 	} else {
 		count := 0
-		dup := false
 		for _, q := range n.peers {
 			if !q.inbound {
 				count++
 			}
-			if q.dialAddr == dialAddr {
-				dup = true
-			}
 		}
+		dup := n.dialedLocked(dialAddr)
 		if dup || count >= pol.MaxOutbound {
 			n.mu.Unlock()
 			if dup {
-				n.tel.refused.With("duplicate").Inc()
-				n.logDebug("refusing duplicate dial", "addr", dialAddr)
+				n.refuseDuplicateDial(dialAddr)
 			} else {
 				n.tel.refused.With("outbound_cap").Inc()
 				n.logDebug("refusing dial at cap", "addr", dialAddr, "cap", pol.MaxOutbound)
@@ -561,12 +557,38 @@ func (n *Node) Dial(addr string) error {
 	if n.keeper().IsBanned(addrKeyOf(addr)) {
 		return fmt.Errorf("p2p: dial %s: address is banned", addr)
 	}
+	// Refuse a duplicate before opening a connection: the remote would
+	// accept it as a second inbound conn from this host and evict the
+	// live one in its favour, just before this side closes it.
+	n.mu.Lock()
+	dup := n.dialedLocked(addr)
+	n.mu.Unlock()
+	if dup {
+		n.refuseDuplicateDial(addr)
+		return nil
+	}
 	conn, err := n.transport.Dial(addr)
 	if err != nil {
 		return fmt.Errorf("p2p: dial %s: %w", addr, err)
 	}
 	n.addConn(conn, addr)
 	return nil
+}
+
+// dialedLocked reports whether a connected peer was dialed at addr;
+// caller holds n.mu.
+func (n *Node) dialedLocked(addr string) bool {
+	for _, q := range n.peers {
+		if q.dialAddr == addr {
+			return true
+		}
+	}
+	return false
+}
+
+func (n *Node) refuseDuplicateDial(addr string) {
+	n.tel.refused.With("duplicate").Inc()
+	n.logDebug("refusing duplicate dial", "addr", addr)
 }
 
 // Stop closes the listener and all peers and waits for loops to exit.

@@ -547,14 +547,19 @@ func TestSetLedgerConcurrentWithGossip(t *testing.T) {
 	})
 
 	done := make(chan struct{})
+	tc := typecoin.NewTx()
+	tc.Proof = proof.Lam{Name: "d", Ty: tc.Domain(), Body: proof.V("d")}
+	payload := tc.Bytes()
 	go func() {
 		defer close(done)
-		// Hammer the typecoin receive path; the payloads fail to decode,
-		// but the handler reads n.ledger on every message.
+		// Hammer the typecoin receive path: the handler reads n.ledger
+		// and announces into it on every message. The payload is a
+		// well-formed transaction, since malformed ones earn ban score
+		// and the peer is banned once enough of them are handled.
 		for i := 0; i < 400; i++ {
 			var buf bytes.Buffer
 			if err := wire.WriteMessage(&buf, wire.RegTestMagic, &wire.Message{
-				Command: wire.CmdTcTx, Payload: []byte{0xde, 0xad}}); err != nil {
+				Command: wire.CmdTcTx, Payload: payload}); err != nil {
 				return
 			}
 			if _, err := conn.Write(buf.Bytes()); err != nil {

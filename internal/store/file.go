@@ -349,19 +349,7 @@ func (f *File) Has(key []byte) (bool, error) {
 
 // Iterate implements Store.
 func (f *File) Iterate(prefix []byte, fn func(key, value []byte) error) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
-	}
-	pairs := sortedPairs(f.data, prefix)
-	f.mu.Unlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.IterateFrom(prefix, nil, fn)
 }
 
 // IterateFrom implements the seek fast path: only keys >= start within
@@ -372,17 +360,7 @@ func (f *File) IterateFrom(prefix, start []byte, fn func(key, value []byte) erro
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	keys := make([]string, 0, len(f.data))
-	for k := range f.data {
-		if strings.HasPrefix(k, string(prefix)) && k >= string(start) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	pairs := make([][2][]byte, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, [2][]byte{[]byte(k), append([]byte(nil), f.data[k]...)})
-	}
+	pairs := sortedPairs(f.data, prefix, start)
 	f.mu.Unlock()
 	for _, kv := range pairs {
 		if err := fn(kv[0], kv[1]); err != nil {
@@ -516,7 +494,7 @@ func (f *File) kvName() string { return fmt.Sprintf("kv-%d.log", f.gen) }
 // next generation and atomically swings the manifest over.
 func (f *File) compactLocked() error {
 	snap := &Batch{}
-	for _, kv := range sortedPairs(f.data, nil) {
+	for _, kv := range sortedPairs(f.data, nil, nil) {
 		snap.ops = append(snap.ops, op{key: kv[0], value: kv[1]})
 	}
 	frame := appendFrame(nil, encodeBatchPayload(snap))
@@ -693,12 +671,18 @@ func (f *File) Close() error {
 	return err
 }
 
-// sortedPairs snapshots the table's pairs with the given prefix in
-// ascending key order. Caller holds the store lock.
-func sortedPairs(data map[string][]byte, prefix []byte) [][2][]byte {
-	keys := make([]string, 0, len(data))
+// sortedPairs snapshots the table's pairs with the given prefix and a
+// key >= start in ascending key order. The key slice grows with the
+// matches, not with the table: a narrow prefix scan over a large store
+// must not allocate for every key it skips. Caller holds the store lock.
+func sortedPairs(data map[string][]byte, prefix, start []byte) [][2][]byte {
+	p, from := string(prefix), string(start)
+	var keys []string
+	if p == "" {
+		keys = make([]string, 0, len(data)) // a whole-table scan (compaction)
+	}
 	for k := range data {
-		if len(prefix) == 0 || strings.HasPrefix(k, string(prefix)) {
+		if strings.HasPrefix(k, p) && k >= from {
 			keys = append(keys, k)
 		}
 	}

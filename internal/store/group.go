@@ -135,8 +135,11 @@ func NewGroup(inner Store, cfg GroupConfig) *Group {
 // SetOnFlush installs a hook observed after every successful group
 // flush with the group size and the flush lag (time the oldest batch
 // spent pending). Fired without the group lock held, so the hook may
-// call back into the Group (e.g. Flushed). Telemetry seam; call before
-// concurrent use.
+// call back into the Group (e.g. Flushed), but before Drain sees the
+// flush: the hook must not wait on Drain, nor take a lock that Drain's
+// callers hold (the chain drains under its own lock, so a hook reads
+// the watermark through Flushed, never through a locking chain call).
+// Telemetry seam; call before concurrent use.
 func (g *Group) SetOnFlush(fn func(batches int, lag time.Duration)) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -356,32 +359,32 @@ func (g *Group) flushPending() bool {
 		}
 	}
 
-	var notifyFlush func()
 	if len(take) > 0 {
 		last := take[len(take)-1]
-		g.durable = last.seq
 		for _, gb := range take {
 			if gb.height > g.flushed {
 				g.flushed = gb.height
 			}
 		}
 		for k, e := range g.overlay {
-			if e.seq <= g.durable {
+			if e.seq <= last.seq {
 				delete(g.overlay, k)
 			}
 		}
 		if fn := g.onFlush; fn != nil {
 			// Fire outside g.mu so the hook can read the watermark back
-			// (Flushed) without self-deadlocking.
+			// (Flushed) without self-deadlocking, but before durable
+			// advances: a Drain returns only once the hooks of the
+			// batches it waited for have run.
 			batches, lag := len(take), time.Since(take[0].enqueued)
-			notifyFlush = func() { fn(batches, lag) }
+			g.mu.Unlock()
+			fn(batches, lag)
+			g.mu.Lock()
 		}
+		g.durable = last.seq
 	}
 	retryNeeded := syncErr != nil && g.sticky == nil
 	g.finishFlushAndUnlock(syncErr)
-	if notifyFlush != nil {
-		notifyFlush()
-	}
 	return !retryNeeded
 }
 

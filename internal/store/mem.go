@@ -1,10 +1,6 @@
 package store
 
-import (
-	"bytes"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Mem is the in-memory engine: plain maps with the same atomicity
 // contract as File. It is the default for tests and non-persistent
@@ -52,30 +48,7 @@ func (m *Mem) Has(key []byte) (bool, error) {
 
 // Iterate implements Store.
 func (m *Mem) Iterate(prefix []byte, fn func(key, value []byte) error) error {
-	m.mu.RLock()
-	if m.closed {
-		m.mu.RUnlock()
-		return ErrClosed
-	}
-	keys := make([]string, 0, len(m.data))
-	for k := range m.data {
-		if bytes.HasPrefix([]byte(k), prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	// Copy the visited pairs so fn may call back into the store.
-	pairs := make([][2][]byte, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, [2][]byte{[]byte(k), append([]byte(nil), m.data[k]...)})
-	}
-	m.mu.RUnlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.IterateFrom(prefix, nil, fn)
 }
 
 // IterateFrom implements the seek fast path: only keys >= start within
@@ -86,17 +59,8 @@ func (m *Mem) IterateFrom(prefix, start []byte, fn func(key, value []byte) error
 		m.mu.RUnlock()
 		return ErrClosed
 	}
-	keys := make([]string, 0, len(m.data))
-	for k := range m.data {
-		if bytes.HasPrefix([]byte(k), prefix) && k >= string(start) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	pairs := make([][2][]byte, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, [2][]byte{[]byte(k), append([]byte(nil), m.data[k]...)})
-	}
+	// Copy the visited pairs so fn may call back into the store.
+	pairs := sortedPairs(m.data, prefix, start)
 	m.mu.RUnlock()
 	for _, kv := range pairs {
 		if err := fn(kv[0], kv[1]); err != nil {

@@ -58,8 +58,15 @@ type Batch struct {
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
-// batchArenaChunk is the allocation unit of a batch's copy arena.
-const batchArenaChunk = 16 << 10
+// A batch's arena chunks grow geometrically from batchArenaMin to
+// batchArenaMax. The engines keep the applied value slices, so every
+// chunk lives as long as any value in it: starting small lets a one-row
+// batch pin about its own size, while a large commit still costs only a
+// few more chunk allocations than a fixed 16KiB arena.
+const (
+	batchArenaMin = 64
+	batchArenaMax = 16 << 10
+)
 
 // copyBytes copies p into the batch arena and returns the stable copy.
 // Full chunks are abandoned to earlier ops (which keep referencing
@@ -69,11 +76,8 @@ func (b *Batch) copyBytes(p []byte) []byte {
 		return nil
 	}
 	if cap(b.arena)-len(b.arena) < len(p) {
-		size := batchArenaChunk
-		if len(p) > size {
-			size = len(p)
-		}
-		b.arena = make([]byte, 0, size)
+		size := min(max(2*cap(b.arena), batchArenaMin), batchArenaMax)
+		b.arena = make([]byte, 0, max(size, len(p)))
 	}
 	start := len(b.arena)
 	b.arena = append(b.arena, p...)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -415,5 +416,70 @@ func TestMemAndFileAgree(t *testing.T) {
 		if fd[i] != md[i] {
 			t.Fatalf("engines diverge at %d: %q vs %q", i, fd[i], md[i])
 		}
+	}
+}
+
+// TestSmallBatchesPinTheirOwnSize applies 10k one-row batches shaped
+// like ledger markers. The file engine keeps every applied value slice,
+// and with it the batch arena chunk behind it, so a fixed 16KiB first
+// chunk would pin about 160MB here.
+func TestSmallBatchesPinTheirOwnSize(t *testing.T) {
+	f, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10_000; i++ {
+		b := NewBatch()
+		b.Put([]byte(fmt.Sprintf("la%032d", i)), []byte{1})
+		if err := f.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapInuse) - int64(before.HeapInuse)
+	t.Logf("HeapInuse grew by %d bytes", grew)
+	if grew >= 4<<20 {
+		t.Fatalf("10k one-row batches raised HeapInuse by %d bytes, want < 4MiB", grew)
+	}
+	runtime.KeepAlive(f)
+}
+
+// TestPrefixScanAllocatesForMatches checks that a prefix scan over a
+// large table allocates for the keys it visits, not for every key the
+// table holds.
+func TestPrefixScanAllocatesForMatches(t *testing.T) {
+	for name, st := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			b := NewBatch()
+			for i := 0; i < 10_000; i++ {
+				b.Put([]byte(fmt.Sprintf("bulk%08d", i)), []byte{1})
+			}
+			b.Put([]byte("one"), []byte{1})
+			if err := st.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			const scans = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < scans; i++ {
+				visited := 0
+				err := IterateFrom(st, []byte("one"), nil, func(k, v []byte) error {
+					visited++
+					return nil
+				})
+				if err != nil || visited != 1 {
+					t.Fatalf("scan visited %d keys, err %v", visited, err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if perScan := (after.TotalAlloc - before.TotalAlloc) / scans; perScan >= 4<<10 {
+				t.Fatalf("a one-key prefix scan over 10k keys allocated %d bytes", perScan)
+			}
+		})
 	}
 }

@@ -44,6 +44,17 @@ type Ledger struct {
 	// apply (announce-after-mine).
 	seen    map[chainhash.Hash]chainhash.Hash
 	applied map[chainhash.Hash]bool // carrier txids already applied
+
+	// Write-behind state of persistent ledgers (persist.go): unsaved
+	// lists announcements whose row is not yet in the store, and dirty
+	// holds the carriers whose applied marker must be rewritten from
+	// applied — false for those known to disagree, true for those whose
+	// persisted marker is unknown. Both are written as one batch at the
+	// end of every sweep and cleared only once that write succeeds;
+	// persistErr keeps the last failure until then.
+	unsaved    []chainhash.Hash
+	dirty      map[chainhash.Hash]bool
+	persistErr error
 }
 
 // NewLedger creates a ledger over c that applies Typecoin transactions
@@ -91,8 +102,11 @@ func (l *Ledger) announce(h chainhash.Hash, obj interface{}) {
 	if _, ok := l.known[h]; !ok {
 		l.known[h] = obj
 		// Announcements travel out of band and cannot be rederived from
-		// the chain, so they are persisted the moment they arrive.
-		l.persistAnnouncementLocked(h, obj)
+		// the chain, so they are persisted the moment they arrive: by the
+		// sweep below, in the same batch as the markers they change.
+		if l.st != nil {
+			l.unsaved = append(l.unsaved, h)
+		}
 	}
 	// The carrier may already be on chain (announce-after-mine): the
 	// seen index remembers every metadata-bearing carrier.
@@ -153,7 +167,11 @@ func (l *Ledger) onChainChange(n chain.Notification) {
 		// A reorganization may have invalidated applied transactions;
 		// rebuild from scratch. Reorgs are rare and the replay is
 		// deterministic, so simplicity wins over incrementality here.
-		l.rebuild()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.markersDroppedLocked(n.Block)
+		l.replayLocked()
+		l.flushLocked()
 		return
 	}
 	l.mu.Lock()
@@ -170,14 +188,17 @@ func (l *Ledger) onChainChange(n chain.Notification) {
 }
 
 // sweep applies every waiting transaction whose carrier is deep enough,
-// in blockchain order (the order the global basis accumulates in).
+// in blockchain order (the order the global basis accumulates in), then
+// persists what changed.
 func (l *Ledger) sweep() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.sweepLocked()
+	l.applyReadyLocked()
+	l.flushLocked()
 }
 
-func (l *Ledger) sweepLocked() {
+// applyReadyLocked is sweep without the write; caller holds l.mu.
+func (l *Ledger) applyReadyLocked() {
 	type entry struct {
 		carrierID chainhash.Hash
 		tch       chainhash.Hash
@@ -240,9 +261,10 @@ func (l *Ledger) sweepLocked() {
 	// basis dependency whose transaction has not been announced yet, so
 	// they are retried on every sweep. Permanently invalid transactions
 	// (a false condition at their block — the "spoiled inputs" hazard of
-	// Section 5) are simply re-rejected each time, which is cheap and
-	// bounded by the number of such carriers.
-	l.syncAppliedLocked()
+	// Section 5) are re-rejected each time, so every sweep costs
+	// O(waiting) and ill-typed carriers raise the cost of every later
+	// block; the dependency-keyed wait queue on the ROADMAP ("Incremental
+	// typed ledger") removes this.
 }
 
 // readyLocked reports whether the announced object's inputs all resolve
@@ -309,13 +331,26 @@ func (l *Ledger) applyLocked(obj interface{}, carrierID chainhash.Hash) error {
 		return fmt.Errorf("typecoin: unknown announcement %T", obj)
 	}
 	l.applied[carrierID] = true
+	l.flipLocked(carrierID)
 	return nil
 }
 
-// rebuild replays the whole main chain against the known transaction set.
+// rebuild replays the whole main chain against the known transaction
+// set and persists the markers that changed.
 func (l *Ledger) rebuild() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.replayLocked()
+	l.flushLocked()
+}
+
+// replayLocked resets the typed state and reapplies the main chain in
+// blockchain order. Markers of carriers that no longer apply end up in
+// dirty for deletion; those applied again cancel out.
+func (l *Ledger) replayLocked() {
+	for id := range l.applied {
+		l.flipLocked(id)
+	}
 	l.state = NewState()
 	l.waiting = make(map[chainhash.Hash]chainhash.Hash)
 	l.seen = make(map[chainhash.Hash]chainhash.Hash)
@@ -334,8 +369,7 @@ func (l *Ledger) rebuild() {
 			}
 		}
 	}
-	// Apply in blockchain order.
-	l.sweepLocked()
+	l.applyReadyLocked()
 }
 
 // State queries (all consistent snapshots under the ledger lock).
