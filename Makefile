@@ -9,7 +9,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # for a short smoke budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check chaos bench bench-json bench-diff metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
+.PHONY: build test race vet check replay chaos bench bench-json bench-diff metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,25 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-check: vet build test race chaos
+check: vet build test race replay chaos
+
+# Same seed, same output whatever the scheduling: the latency budget,
+# header-sync catch-up, corrupt-frame redial and p2p partition scenarios
+# run under GOMAXPROCS 1, 2 and 8 and under the race detector. Every run logs
+# "replay digest <scenario>=<hex>"; reruns within one test process must
+# match (the tests check that), and the target fails if a scenario
+# logged two different digests across the builds.
+REPLAY_NETSIM = ./internal/netsim/ -run 'TestLatencyBudget|TestHeaderSyncCatchUp|TestRedialAfterCorruptFrameReplays' -count=1 -v
+REPLAY_P2P = ./internal/p2p/ -run TestSimSameSeedReplaysExactly -count=1 -v
+replay:
+	@out=$$($(GO) test $(REPLAY_NETSIM) -cpu 1,2,8 2>&1 && \
+	  $(GO) test $(REPLAY_P2P) -cpu 1,2,8 2>&1 && \
+	  $(GO) test -race $(REPLAY_NETSIM) 2>&1 && \
+	  $(GO) test -race $(REPLAY_P2P) 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
+	digests=$$(printf '%s\n' "$$out" | grep -o 'replay digest [^ ]*' | sort -u); \
+	printf '%s\n' "$$digests"; \
+	diverged=$$(printf '%s\n' "$$digests" | sed 's/=[^=]*$$//' | uniq -d); \
+	if [ -n "$$diverged" ]; then echo "replay diverged across builds: $$diverged"; exit 1; fi
 
 # Hostile-disk suite: the crash-point explorer (every physical
 # write/fsync boundary of the sync, group-commit, and compaction paths
@@ -99,8 +117,10 @@ index-load:
 # Cluster-wide commitment-latency budget: a 10-node netsim mesh under
 # sustained wallet load, every span merged into cluster timelines and
 # reduced to per-stage p50/p99 (printed with -v), plus the Byzantine
-# slow-relay variant showing which stage an attacker inflates. The
-# report is deterministic: SIM_SEED=<n> replays one seed bit-for-bit.
+# slow-relay variant showing which stage an attacker inflates. Each
+# virtual tick runs the network to quiescence, so the report is a pure
+# function of the seed on any host, with or without -race:
+# SIM_SEED=<n> replays one seed bit-for-bit.
 latency-report:
 	$(GO) test ./internal/netsim/ -run 'TestLatencyBudget' -count=1 -v
 

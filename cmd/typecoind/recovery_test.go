@@ -70,7 +70,8 @@ func TestCrashMidCommitRecoversConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := store.NewFault(fileSt, 17, 10)
+	fault := store.NewFaultEngine(fileSt, 0)
+	fault.Inject(store.FaultRule{Op: store.OpApply, Kind: store.KindKill, Mode: store.ModeOneShot, After: 16, TearBytes: 10})
 	chF, err := chain.Open(chain.Config{Params: params, Clock: clk, Store: fault})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestCrashMidCommitRecoversConsistent(t *testing.T) {
 	mine()
 	mine()
 	if !crashed {
-		t.Fatalf("fault never fired: %d applies", fault.Applies())
+		t.Fatalf("fault never fired: %d applies", fault.OpCalls(store.OpApply))
 	}
 	_ = fault.Close()
 
@@ -278,7 +279,8 @@ func TestCrashInGroupCommitWindowRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := store.NewFault(fileSt, 17, 10)
+	fault := store.NewFaultEngine(fileSt, 0)
+	fault.Inject(store.FaultRule{Op: store.OpApply, Kind: store.KindKill, Mode: store.ModeOneShot, After: 16, TearBytes: 10})
 	g := store.NewGroup(fault, store.GroupConfig{Interval: time.Hour, MaxBatches: 1 << 30})
 	chF, err := chain.Open(chain.Config{Params: params, Clock: clk, Store: g})
 	if err != nil {

@@ -10,9 +10,18 @@ import (
 	"time"
 )
 
-// Clock supplies the current time.
+// Clock supplies the current time and one-shot timers on that time.
 type Clock interface {
 	Now() time.Time
+	// AfterFunc runs fn once the clock has advanced by at least d.
+	AfterFunc(d time.Duration, fn func()) Timer
+}
+
+// Timer is a pending AfterFunc callback.
+type Timer interface {
+	// Stop cancels the timer, reporting whether the call prevented the
+	// callback from firing.
+	Stop() bool
 }
 
 // System is the wall clock.
@@ -20,6 +29,9 @@ type System struct{}
 
 // Now returns time.Now.
 func (System) Now() time.Time { return time.Now() }
+
+// AfterFunc is time.AfterFunc: fn runs in its own goroutine.
+func (System) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
 
 // Simulated is a manually advanced clock. The zero value is not usable;
 // create one with NewSimulated. It is safe for concurrent use.
@@ -30,7 +42,7 @@ func (System) Now() time.Time { return time.Now() }
 type Simulated struct {
 	mu     sync.Mutex
 	now    time.Time
-	timers []*Timer
+	timers []*simTimer
 	subs   []func(time.Time)
 }
 
@@ -69,8 +81,8 @@ func (c *Simulated) Set(t time.Time) {
 	runCallbacks(due, subs, t)
 }
 
-// Timer is a pending AfterFunc callback on a Simulated clock.
-type Timer struct {
+// simTimer is a pending AfterFunc callback on a Simulated clock.
+type simTimer struct {
 	c     *Simulated
 	at    time.Time
 	fn    func()
@@ -80,17 +92,17 @@ type Timer struct {
 // AfterFunc schedules fn to run once the clock has advanced by at least d.
 // The callback runs on the goroutine that advances the clock, after the
 // clock's internal lock is released, so it may use the clock freely.
-func (c *Simulated) AfterFunc(d time.Duration, fn func()) *Timer {
+func (c *Simulated) AfterFunc(d time.Duration, fn func()) Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &Timer{c: c, at: c.now.Add(d), fn: fn}
+	t := &simTimer{c: c, at: c.now.Add(d), fn: fn}
 	c.timers = append(c.timers, t)
 	return t
 }
 
 // Stop cancels the timer. It reports whether the call prevented the
 // callback from firing.
-func (t *Timer) Stop() bool {
+func (t *simTimer) Stop() bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
 	if t.fired {
@@ -111,8 +123,8 @@ func (c *Simulated) Subscribe(fn func(now time.Time)) {
 
 // collectLocked extracts the timers due at now (marking them fired and
 // removing them from the pending set) plus a snapshot of the subscribers.
-func (c *Simulated) collectLocked(now time.Time) ([]*Timer, []func(time.Time)) {
-	var due []*Timer
+func (c *Simulated) collectLocked(now time.Time) ([]*simTimer, []func(time.Time)) {
+	var due []*simTimer
 	keep := c.timers[:0]
 	for _, t := range c.timers {
 		switch {
@@ -132,7 +144,7 @@ func (c *Simulated) collectLocked(now time.Time) ([]*Timer, []func(time.Time)) {
 	return due, subs
 }
 
-func runCallbacks(due []*Timer, subs []func(time.Time), now time.Time) {
+func runCallbacks(due []*simTimer, subs []func(time.Time), now time.Time) {
 	for _, t := range due {
 		t.fn()
 	}

@@ -471,7 +471,6 @@ func (p *Pool) onChainChange(n chain.Notification) {
 					tr.Record(telemetry.EvTxMined, txid.String(),
 						fmt.Sprintf("height=%d", n.Height))
 				}
-				p.tel.spans.Observe(telemetry.SpanTx, txid, telemetry.StageMined)
 			}
 			p.removeLocked(txid)
 			// Evict anything that now conflicts with a confirmed spend.

@@ -49,7 +49,7 @@ func (p *Pool) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 }
 
 // SetSpans routes commitment-latency span stages to s: acceptance
-// creates a transaction's span, confirmation marks the mined stage.
+// creates a transaction's span (the chain's connect marks it mined).
 // Call once, before accepting transactions; s may be nil (the default).
 func (p *Pool) SetSpans(s *telemetry.SpanStore) {
 	p.tel.spans = s

@@ -141,29 +141,25 @@ func (a *Actor) onTick(now time.Time) {
 
 // dialLocked attempts one connection to the target and, on success,
 // opens with a version message so the victim completes its handshake.
-// The read side is discarded unless the actor serves requests (onMsg).
 func (a *Actor) dialLocked() {
-	c, err := a.h.Net.Dial(a.Name, a.target)
+	c, err := a.h.Net.Transport(a.Name).Dial(a.target)
 	if err != nil {
 		return
 	}
 	a.conn = c
 	a.dead = false
 	a.dials++
-	if a.onMsg != nil {
-		go a.serve(c)
-	} else {
-		go a.discard(c)
-	}
+	go a.serve(c)
 	a.writeLocked(wire.CmdVersion, a.hello)
 }
 
-// serve decodes the victim's frames and dispatches them to onMsg until
-// the connection dies.
+// serve decodes the victim's frames and dispatches them to onMsg (or
+// drops them, for actors that serve nothing) until the connection dies.
 func (a *Actor) serve(c net.Conn) {
 	for {
 		msg, err := wire.ReadMessage(c, a.magic)
 		if err != nil {
+			c.Close()
 			a.mu.Lock()
 			if a.conn == c {
 				a.dead = true
@@ -171,7 +167,9 @@ func (a *Actor) serve(c net.Conn) {
 			a.mu.Unlock()
 			return
 		}
-		a.onMsg(a, msg)
+		if a.onMsg != nil {
+			a.onMsg(a, msg)
+		}
 	}
 }
 
@@ -181,22 +179,6 @@ func (a *Actor) write(cmd string, payload []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.writeLocked(cmd, payload)
-}
-
-// discard drains everything the victim sends until the connection dies
-// (EOF when the victim — or its ban logic — closes it).
-func (a *Actor) discard(c net.Conn) {
-	buf := make([]byte, 4096)
-	for {
-		if _, err := c.Read(buf); err != nil {
-			a.mu.Lock()
-			if a.conn == c {
-				a.dead = true
-			}
-			a.mu.Unlock()
-			return
-		}
-	}
 }
 
 // writeLocked frames and sends one message on the current connection,

@@ -143,8 +143,10 @@ func NewHarnessWithStores(t testing.TB, seed int64, n int, cfg LinkConfig, store
 		ix.SetTelemetry(reg, tr)
 		ix.SetSpans(spans)
 		node.SetTransport(h.Net.Transport(h.Host(i)))
-		// Generous real-time redial budget: a partition must not
-		// exhaust it before the heal.
+		// Redial backoff runs on the virtual clock: 12 attempts from
+		// 10ms span ~41s, so a connection killed mid-gossip comes back
+		// within the scenario; edges lost across a longer partition are
+		// re-dialed by Heal.
 		node.SetRedial(12, 10*time.Millisecond)
 		ledger := typecoin.NewLedger(c, 1)
 		node.SetLedger(ledger)
@@ -255,81 +257,36 @@ func (h *Harness) Connect(i, j int) {
 	h.edges = append(h.edges, [2]int{i, j})
 }
 
-// Settle advances virtual time in small ticks, yielding real time
-// between ticks so node goroutines drain their queues.
+// Settle advances virtual time by ticks 20ms ticks. Each tick returns
+// only once the network is quiescent (see the package comment), so the
+// cascade a tick delivers has fully run before the next one starts and
+// every handler observes the virtual time of the tick that woke it.
 func (h *Harness) Settle(ticks int) {
 	for k := 0; k < ticks; k++ {
 		h.Clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
 	}
 }
 
-// SettleIdle advances virtual time like Settle but waits for the nodes
-// to go fully idle between ticks: after each advance it polls the
-// network's frame counters until they hold still for two consecutive
-// polls (bounded real time per tick). Handlers therefore finish the
-// causal cascade a tick delivered before the next tick starts, so every
-// span timestamp lands on the virtual tick that caused it — which is
-// what makes latency-budget reports a pure function of the seed.
-func (h *Harness) SettleIdle(ticks int) {
-	for k := 0; k < ticks; k++ {
-		h.Clk.Advance(20 * time.Millisecond)
-		deadline := time.Now().Add(settleTickDeadline)
-		prev := h.Net.Stats()
-		calm := 0
-		for calm < settleCalmPolls && time.Now().Before(deadline) {
-			time.Sleep(settleCalmSleep)
-			cur := h.Net.Stats()
-			if cur == prev {
-				calm++
-			} else {
-				calm = 0
-				prev = cur
-			}
-		}
-	}
-}
-
-// MineIdle is Mine with the deterministic SettleIdle drain instead of
-// Settle, for latency-tracing scenarios.
-func (h *Harness) MineIdle(i, ticks int) *wire.MsgBlock {
-	h.T.Helper()
-	h.blocks++
-	target := h.base.Add(time.Duration(h.blocks) * time.Minute)
-	if h.Clk.Now().Before(target) {
-		h.Clk.Set(target)
-	} else {
-		h.Clk.Advance(time.Minute)
-	}
-	blk, _, err := h.Miners[i].Mine(h.Payouts[i])
-	if err != nil {
-		h.T.Fatalf("mine on node %d: %v", i, err)
-	}
-	h.SettleIdle(ticks)
-	return blk
-}
-
-// WaitFor polls cond while driving the virtual clock, failing the test
-// after a generous real-time deadline. Every ~100 ticks it makes all
+// WaitFor ticks the virtual clock until cond holds, failing the test
+// after 5000 ticks (100 virtual seconds). Every 100 ticks it makes all
 // nodes re-sync from their peers: lossy links can swallow a one-shot
 // inv/getdata exchange, and the protocol has no per-message retry, so
 // liveness under faults comes from periodic resync (as in Bitcoin).
 func (h *Harness) WaitFor(what string, cond func() bool) {
 	h.T.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for k := 0; time.Now().Before(deadline); k++ {
+	const ticks = 5000
+	for k := 0; k < ticks; k++ {
 		if cond() {
 			return
 		}
-		h.Clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
+		h.Settle(1)
 		if k%100 == 99 {
 			for _, node := range h.Nodes {
 				node.SyncPeers()
 			}
 		}
 	}
-	h.T.Fatalf("timeout waiting for %s", what)
+	h.T.Fatalf("timeout waiting for %s after %d ticks", what, ticks)
 }
 
 // Mine mines one block on node i at the next slot of a fixed virtual
@@ -392,7 +349,7 @@ func (h *Harness) Heal() {
 func (h *Harness) Reconnect() {
 	for _, e := range h.edges {
 		if !h.Nodes[e[0]].HasPeerAddr(h.Host(e[1])) {
-			// Ignore errors: the redial loop may be mid-flight.
+			// Ignore errors: a redial may be pending on the clock.
 			_ = h.Nodes[e[0]].Dial(h.Host(e[1]))
 		}
 	}

@@ -11,6 +11,7 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -46,12 +47,17 @@ func mineDonorChain(t *testing.T, seed int64, params *chain.Params, depth int) [
 	return blocks
 }
 
+// catchUpTickLimit bounds a catch-up run in 20ms virtual ticks.
+const catchUpTickLimit = 20000
+
 // runHeaderCatchUp feeds the donor chain into the first donorCount
 // nodes, dials the laggard (node 9) into each, and drives the virtual
 // clock until the laggard's connected tip reaches the donor tip.
-// It returns the tick count and the laggard's per-peer receive-byte
-// snapshot.
-func runHeaderCatchUp(t *testing.T, seed int64, blocks []*wire.MsgBlock, donorCount int) (int, map[string]uint64) {
+// It returns the tick count, the laggard's per-peer receive-byte
+// snapshot and the network's fault counters. The links are fault-free,
+// so a body the laggard receives twice is a scheduler bug and fails
+// the run.
+func runHeaderCatchUp(t *testing.T, seed int64, blocks []*wire.MsgBlock, donorCount int) (int, map[string]uint64, Stats) {
 	t.Helper()
 	cfg := LinkConfig{Latency: 25 * time.Millisecond, Jitter: 2 * time.Millisecond}
 	h := NewHarness(t, seed, 10, cfg)
@@ -69,15 +75,13 @@ func runHeaderCatchUp(t *testing.T, seed int64, blocks []*wire.MsgBlock, donorCo
 
 	tip := blocks[len(blocks)-1].BlockHash()
 	lchain := h.Nodes[laggard].Chain()
-	deadline := time.Now().Add(60 * time.Second)
 	ticks := 0
 	for lchain.BestHash() != tip {
-		if time.Now().After(deadline) {
+		if ticks == catchUpTickLimit {
 			t.Fatalf("laggard stuck at height %d (headers %d) after %d ticks",
 				lchain.BestHeight(), lchain.HeaderHeight(), ticks)
 		}
-		h.Clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
+		h.Settle(1)
 		ticks++
 		if ticks%100 == 0 {
 			for _, node := range h.Nodes {
@@ -91,7 +95,10 @@ func runHeaderCatchUp(t *testing.T, seed int64, blocks []*wire.MsgBlock, donorCo
 	if got := h.Metric(laggard, "chain_header_height"); int(got) != catchUpDepth {
 		t.Fatalf("chain_header_height reads %v, want %d", got, catchUpDepth)
 	}
-	return ticks, h.Regs[laggard].VecValues("p2p_recv_bytes_total")
+	if dup := h.Metric(laggard, "chain_duplicate_blocks_total"); dup != 0 {
+		t.Fatalf("laggard received %v bodies it already had (%d donors)", dup, donorCount)
+	}
+	return ticks, h.Regs[laggard].VecValues("p2p_recv_bytes_total"), h.Net.Stats()
 }
 
 // donorBytes extracts the receive-byte totals per donor host from a
@@ -122,11 +129,21 @@ func runHeaderSyncScenario(t *testing.T, seed int64) {
 	blocks := mineDonorChain(t, seed, params, catchUpDepth)
 
 	const donors = 6
-	multiTicks, multiSnap := runHeaderCatchUp(t, seed, blocks, donors)
-	singleTicks, singleSnap := runHeaderCatchUp(t, seed, blocks, 1)
+	multiTicks, multiSnap, multiStats := runHeaderCatchUp(t, seed, blocks, donors)
+	singleTicks, singleSnap, singleStats := runHeaderCatchUp(t, seed, blocks, 1)
 
 	multi := donorBytes(multiSnap, donors)
 	single := donorBytes(singleSnap, 1)
+
+	// The parallel run replays exactly: same ticks, same bytes from each
+	// donor, same frame counters — here and across schedulers.
+	_, replaySnap, replayStats := runHeaderCatchUp(t, seed, blocks, donors)
+	if replay := donorBytes(replaySnap, donors); !maps.Equal(replay, multi) || replayStats != multiStats {
+		t.Fatalf("replay of seed %d diverged: per-donor bytes %v vs %v, stats %+v vs %+v",
+			seed, replay, multi, replayStats, multiStats)
+	}
+	testutil.CheckReplay(t, fmt.Sprintf("header-sync/seed=%d", seed), fmt.Sprintf("%d %v %+v %d %v %+v",
+		multiTicks, multi, multiStats, singleTicks, single, singleStats))
 	multiTotal, singleTotal := sumBytes(multi), sumBytes(single)
 	t.Logf("seed=%d multi: %d ticks, %d bytes across %v; single: %d ticks, %d bytes",
 		seed, multiTicks, multiTotal, multi, singleTicks, singleTotal)
@@ -173,15 +190,6 @@ func runHeaderSyncScenario(t *testing.T, seed int64) {
 // TestHeaderSyncCatchUp runs the ten-node catch-up comparison across
 // the replayable seed list (override with SIM_SEED).
 func TestHeaderSyncCatchUp(t *testing.T) {
-	if raceEnabled {
-		// The comparison drives the virtual clock at a fixed real-time
-		// pace (1ms per 20ms tick); the race detector slows the node
-		// goroutines 5-20x, so virtual time outruns delivery, stall
-		// timers fire spuriously, and both the tick and byte comparisons
-		// stop measuring the sync manager. Correctness under race is
-		// covered by TestHeaderSyncConvergedInvariants.
-		t.Skip("virtual-time/bytes comparison is not meaningful under the race detector")
-	}
 	seeds := byzantineSeeds(t)
 	if len(seeds) > 2 {
 		// The full five-seed sweep is for the cheap byzantine scenarios;

@@ -12,6 +12,15 @@
 // from its seed: the same seed and the same write sequence produce the
 // same fault schedule, byte for byte (TestExactReplay).
 //
+// Hosts with a Transport form a discrete-event simulation: each clock
+// change delivers due frames one at a time, in (arrival, connection,
+// direction, sequence) order, and waits for quiescence after each —
+// every reader of such a host's connections parked in Read on an empty
+// buffer or closed, every watched send queue empty. Handlers never run
+// concurrently, and Advance returns once its cascade has run. Ends of
+// hosts without a Transport have no reader loop to wait for; due
+// frames reach their buffers at once.
+//
 // The simulator is message-oriented: each Write is one frame, and faults
 // apply to whole frames. wire.WriteMessage emits one frame per p2p
 // message, so "drop" loses a whole protocol message while keeping the
@@ -30,6 +39,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -88,9 +98,14 @@ type Network struct {
 	stalls    map[pairKey]bool
 	halves    []*halfConn
 	nextConn  int64
-	nextSeq   int64
 	stats     Stats
+	now       time.Time       // frames depart at now: the last clock change, once quiescent
+	tracked   map[string]bool // hosts with a Transport: a reader loop per connection end
 }
+
+// hangLimit bounds a quiescence wait in real time; past it the wait
+// panics, naming what is still busy.
+const hangLimit = time.Minute
 
 // New creates a network over the virtual clock clk. def is the link
 // configuration used for every direction without a SetLink override; the
@@ -105,6 +120,8 @@ func New(clk *clock.Simulated, seed int64, def LinkConfig) *Network {
 		listeners: make(map[string]*Listener),
 		links:     make(map[pairKey]LinkConfig),
 		stalls:    make(map[pairKey]bool),
+		tracked:   make(map[string]bool),
+		now:       clk.Now(),
 	}
 	clk.Subscribe(n.onTick)
 	return n
@@ -170,7 +187,7 @@ func (n *Network) Heal() {
 // receiving halves of that direction.
 func (n *Network) releaseLocked(key pairKey) {
 	delete(n.stalls, key)
-	now := n.clk.Now()
+	now := n.now
 	for _, h := range n.halves {
 		if h.local != key.to || h.remote != key.from || len(h.held) == 0 {
 			continue
@@ -182,7 +199,9 @@ func (n *Network) releaseLocked(key pairKey) {
 			heap.Push(&h.pending, fr)
 		}
 		h.held = nil
-		h.flushLocked(now)
+		if !n.tracked[h.local] {
+			h.flushLocked(now)
+		}
 	}
 }
 
@@ -206,13 +225,62 @@ func (n *Network) linkLocked(from, to string) LinkConfig {
 	return n.def
 }
 
-// onTick delivers every frame whose arrival time has passed.
+// onTick delivers the due frames one at a time in frame order, with the
+// network quiescent before each delivery and after the last. Work still
+// running when the clock moved was caused earlier: its frames depart at
+// the previous time.
 func (n *Network) onTick(now time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, h := range n.halves {
-		h.flushLocked(now)
+	n.awaitQuiescentLocked(now)
+	n.now = now
+	for {
+		var next *halfConn
+		for _, h := range n.halves {
+			if len(h.pending) > 0 && !h.pending[0].arrival.After(now) &&
+				(next == nil || h.pending[0].before(&next.pending[0])) {
+				next = h
+			}
+		}
+		if next == nil {
+			return
+		}
+		next.deliverLocked()
+		n.awaitQuiescentLocked(now)
 	}
+}
+
+// awaitQuiescentLocked yields, with n.mu released, until nothing is busy.
+func (n *Network) awaitQuiescentLocked(now time.Time) {
+	deadline := time.Now().Add(hangLimit)
+	for {
+		busy := n.busyLocked()
+		if busy == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("netsim: not quiescent after %v of real time at virtual %v: %s",
+				hangLimit, now.Format(time.RFC3339Nano), busy))
+		}
+		n.mu.Unlock()
+		runtime.Gosched()
+		n.mu.Lock()
+	}
+}
+
+// busyLocked names a reader or send queue still at work, or returns "".
+func (n *Network) busyLocked() string {
+	for _, h := range n.halves {
+		// A reader is busy while it holds bytes or has some to read, and
+		// after EOF until it closes its end.
+		if h.reader && !h.closed && (h.reading || h.readBuf.Len() > 0 || h.remoteClosed) {
+			return fmt.Sprintf("reader on %s from %s (connection %d)", h.local, h.remote, h.connID)
+		}
+		if h.queued != nil && !h.closed && h.queued() != 0 {
+			return fmt.Sprintf("send queue on %s to %s (connection %d)", h.local, h.remote, h.connID)
+		}
+	}
+	return ""
 }
 
 // rngFor derives a deterministic per-direction PRNG so the fault
@@ -242,7 +310,6 @@ func (n *Network) Listen(host string) (net.Listener, error) {
 		net:  n,
 		host: host,
 		ch:   make(chan net.Conn, 64),
-		quit: make(chan struct{}),
 	}
 	n.listeners[host] = l
 	return l, nil
@@ -265,16 +332,21 @@ func (n *Network) Dial(from, to string) (net.Conn, error) {
 	}
 	connID := n.nextConn
 	n.nextConn++
-	a := &halfConn{net: n, local: from, remote: to,
-		rng: n.rngFor(connID, 0, from, to)}
-	b := &halfConn{net: n, local: to, remote: from,
+	// A dialer with a reader loop is busy until the reader first parks:
+	// its connection setup is still running.
+	ta := n.tracked[from]
+	a := &halfConn{net: n, local: from, remote: to, connID: connID, dir: 0,
+		reader: ta, reading: ta, rng: n.rngFor(connID, 0, from, to)}
+	b := &halfConn{net: n, local: to, remote: from, connID: connID, dir: 1,
 		rng: n.rngFor(connID, 1, to, from)}
 	a.peer, b.peer = b, a
 	a.readCond = sync.NewCond(&n.mu)
 	b.readCond = sync.NewCond(&n.mu)
-	select {
-	case l.ch <- &Conn{h: b}:
-	default:
+	if n.tracked[to] {
+		// A host with a Transport accepts as a simulation event, ahead
+		// of every frame on the connection.
+		b.pending = frameHeap{{arrival: n.now, connID: connID, seq: -1, accept: l}}
+	} else if !l.offer(b) {
 		return nil, &net.OpError{Op: "dial", Net: "sim", Addr: Addr(to),
 			Err: fmt.Errorf("accept backlog full")}
 	}
@@ -295,29 +367,40 @@ func (a Addr) String() string { return string(a) }
 type Listener struct {
 	net    *Network
 	host   string
-	ch     chan net.Conn
-	quit   chan struct{}
+	ch     chan net.Conn // sent to under net.mu while !closed; closed by Close
 	closed bool
+}
+
+// offer queues h for Accept, reporting false when the backlog is full.
+func (l *Listener) offer(h *halfConn) bool {
+	select {
+	case l.ch <- &Conn{h: h}:
+		return true
+	default:
+		return false
+	}
 }
 
 // Accept waits for the next inbound connection.
 func (l *Listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.ch:
+	if c, ok := <-l.ch; ok {
 		return c, nil
-	case <-l.quit:
-		return nil, net.ErrClosed
 	}
+	return nil, net.ErrClosed
 }
 
-// Close stops the listener; pending Accept calls return net.ErrClosed.
+// Close stops the listener; pending Accept calls return net.ErrClosed,
+// and connections never accepted are closed.
 func (l *Listener) Close() error {
 	l.net.mu.Lock()
 	defer l.net.mu.Unlock()
 	if !l.closed {
 		l.closed = true
-		close(l.quit)
 		delete(l.net.listeners, l.host)
+		close(l.ch)
+		for c := range l.ch {
+			c.(*Conn).h.closeLocked()
+		}
 	}
 	return nil
 }
@@ -325,23 +408,30 @@ func (l *Listener) Close() error {
 // Addr returns the listening host's address.
 func (l *Listener) Addr() net.Addr { return Addr(l.host) }
 
-// frame is one Write's worth of bytes in flight.
+// frame is one Write's worth of bytes in flight; the sender's
+// connection id, direction and sequence order equal arrival times.
 type frame struct {
 	data    []byte
+	accept  *Listener // set on the event handing a new connection to its listener
 	arrival time.Time
+	connID  int64
+	dir     byte
 	seq     int64
 }
 
-// frameHeap orders frames by (arrival, seq).
+func (f *frame) before(g *frame) bool {
+	if !f.arrival.Equal(g.arrival) {
+		return f.arrival.Before(g.arrival)
+	}
+	return f.connID < g.connID || f.connID == g.connID &&
+		(f.dir < g.dir || f.dir == g.dir && f.seq < g.seq)
+}
+
+// frameHeap orders frames by delivery order.
 type frameHeap []frame
 
-func (h frameHeap) Len() int { return len(h) }
-func (h frameHeap) Less(i, j int) bool {
-	if !h[i].arrival.Equal(h[j].arrival) {
-		return h[i].arrival.Before(h[j].arrival)
-	}
-	return h[i].seq < h[j].seq
-}
+func (h frameHeap) Len() int            { return len(h) }
+func (h frameHeap) Less(i, j int) bool  { return h[i].before(&h[j]) }
 func (h frameHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *frameHeap) Push(x interface{}) { *h = append(*h, x.(frame)) }
 func (h *frameHeap) Pop() interface{} {
@@ -359,8 +449,14 @@ func (h *frameHeap) Pop() interface{} {
 type halfConn struct {
 	net           *Network
 	local, remote string
+	connID        int64
+	dir           byte
 	rng           *rand.Rand
 	lastDepart    time.Time
+	sent          int64        // sequence number of the next frame sent
+	reader        bool         // a reader loop owns this end (dialed, or accepted, via a Transport)
+	reading       bool         // the reader took bytes and has not parked since
+	queued        func() int64 // messages queued for this end and not yet written
 
 	peer         *halfConn
 	pending      frameHeap
@@ -371,17 +467,30 @@ type halfConn struct {
 	remoteClosed bool // peer end closed
 }
 
-// flushLocked moves due frames into the read buffer and wakes readers.
-func (h *halfConn) flushLocked(now time.Time) {
-	moved := false
-	for len(h.pending) > 0 && !h.pending[0].arrival.After(now) {
-		fr := heap.Pop(&h.pending).(frame)
-		h.readBuf.Write(fr.data)
-		h.net.stats.Delivered++
-		moved = true
+// deliverLocked moves the first pending frame to the read buffer, or
+// hands the connection to its listener.
+func (h *halfConn) deliverLocked() {
+	fr := heap.Pop(&h.pending).(frame)
+	if fr.accept != nil {
+		// Busy until the accepting node's reader parks; refused when the
+		// listener closed or its backlog is full.
+		h.reader = !fr.accept.closed && fr.accept.offer(h)
+		h.reading = h.reader
+		if !h.reader {
+			h.closeLocked()
+		}
+		return
 	}
-	if moved {
-		h.readCond.Broadcast()
+	h.readBuf.Write(fr.data)
+	h.net.stats.Delivered++
+	h.readCond.Broadcast()
+}
+
+// flushLocked delivers every due frame at once: for ends of hosts
+// without a Transport, which have no reader loop to wait for.
+func (h *halfConn) flushLocked(now time.Time) {
+	for len(h.pending) > 0 && !h.pending[0].arrival.After(now) {
+		h.deliverLocked()
 	}
 }
 
@@ -399,8 +508,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 	defer h.net.mu.Unlock()
 	for {
 		if h.readBuf.Len() > 0 {
+			h.reading = true
 			return h.readBuf.Read(b)
 		}
+		h.reading = false
 		if h.closed {
 			return 0, io.ErrClosedPipe
 		}
@@ -450,7 +561,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		n.stats.Corrupted++
 	}
 
-	now := n.clk.Now()
+	now := n.now
 	depart := now
 	if depart.Before(h.lastDepart) {
 		depart = h.lastDepart
@@ -481,15 +592,17 @@ func (c *Conn) Write(b []byte) (int, error) {
 		h.sendFrameLocked(dup)
 		n.stats.Duplicated++
 	}
-	h.peer.flushLocked(now)
+	if !n.tracked[h.remote] {
+		h.peer.flushLocked(now)
+	}
 	return len(b), nil
 }
 
 // sendFrameLocked queues a frame on the peer's receive side, honouring
 // one-way stalls.
 func (h *halfConn) sendFrameLocked(fr frame) {
-	fr.seq = h.net.nextSeq
-	h.net.nextSeq++
+	fr.connID, fr.dir, fr.seq = h.connID, h.dir, h.sent
+	h.sent++
 	if h.net.stalls[pairKey{h.local, h.remote}] {
 		h.peer.held = append(h.peer.held, fr)
 		h.net.stats.Stalled++
@@ -501,21 +614,34 @@ func (h *halfConn) sendFrameLocked(fr frame) {
 // Close closes this end. The remote may still read frames already
 // delivered to its buffer, then sees io.EOF; in-flight frames are lost.
 func (c *Conn) Close() error {
-	h := c.h
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
+	c.h.net.mu.Lock()
+	defer c.h.net.mu.Unlock()
+	c.h.closeLocked()
+	return nil
+}
+
+func (h *halfConn) closeLocked() {
 	if h.closed {
-		return nil
+		return
 	}
 	h.closed = true
 	h.peer.remoteClosed = true
-	// In-flight and stalled frames in both directions are lost; only
-	// bytes already delivered to the peer's buffer remain readable.
+	// In-flight and stalled frames in both directions are lost (a
+	// connection not yet accepted is never accepted); only bytes
+	// already delivered to the peer's buffer remain readable.
 	h.pending, h.peer.pending = nil, nil
 	h.held, h.peer.held = nil, nil
 	h.readCond.Broadcast()
 	h.peer.readCond.Broadcast()
-	return nil
+}
+
+// WatchSendQueue makes quiescence also wait, until this end closes, for
+// queued() — the messages its owner queued but has not written — to
+// reach zero.
+func (c *Conn) WatchSendQueue(queued func() int64) {
+	c.h.net.mu.Lock()
+	defer c.h.net.mu.Unlock()
+	c.h.queued = queued
 }
 
 // LocalAddr returns the local host name.
@@ -540,8 +666,13 @@ type Transport struct {
 	host string
 }
 
-// Transport returns the transport for host.
+// Transport returns the transport for host. From then on, every
+// connection end the host owns counts as read by a loop that
+// quiescence waits for.
 func (n *Network) Transport(host string) *Transport {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.tracked[host] = true
 	return &Transport{n: n, host: host}
 }
 

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"typecoin/internal/clock"
+	"typecoin/internal/script"
+	"typecoin/internal/testutil"
+	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
 )
 
@@ -360,4 +363,98 @@ func TestExactReplayFromSeed(t *testing.T) {
 	if bytes.Equal(d1, d3) && s1 == s3 {
 		t.Fatal("different seeds produced identical runs")
 	}
+}
+
+// TestSettleRunsRelayCascade: on a 3-node line over 2ms links, every
+// message crossing lands on the next 20ms tick and each tick runs its
+// cascade to completion, so a broadcast tx reaches the far end after
+// exactly six ticks (inv, getdata, tx per hop) — with no sleeping and
+// no polling.
+func TestSettleRunsRelayCascade(t *testing.T) {
+	h := NewHarness(t, 3, 3, LinkConfig{Latency: 2 * time.Millisecond})
+	h.Connect(0, 1)
+	h.Connect(1, 2)
+	h.Settle(5)
+	h.MineN(0, h.Params.CoinbaseMaturity+1)
+	h.WaitConverged()
+	dest, err := h.Wallets[2].NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := h.Wallets[0].Build(
+		[]wallet.Output{{Value: 1_000_000, PkScript: script.PayToPubKeyHash(dest)}},
+		wallet.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Nodes[0].BroadcastTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	h.Settle(5)
+	if h.Nodes[2].Pool().Have(tx.TxHash()) {
+		t.Fatal("tx crossed two hops in five ticks")
+	}
+	h.Settle(1)
+	for i, node := range h.Nodes {
+		if !node.Pool().Have(tx.TxHash()) {
+			t.Fatalf("node %d has not pooled the tx after six ticks", i)
+		}
+	}
+}
+
+// TestAdvanceReturnsAfterUnacceptedConnClosed: a node stopped while it
+// has an inbound connection it never accepted (accepts are delivered
+// on the next tick) must not keep the network busy: the connection
+// closes, the dialer sees it drop, and clock changes return.
+func TestAdvanceReturnsAfterUnacceptedConnClosed(t *testing.T) {
+	h := NewHarness(t, 3, 2, LinkConfig{Latency: 2 * time.Millisecond})
+	h.Connect(0, 1)
+	h.Nodes[1].Stop()
+	h.Settle(5)
+	if n := h.Nodes[0].PeerCount(); n != 0 {
+		t.Fatalf("dialer still has %d peers after the listener's node stopped", n)
+	}
+}
+
+// TestRedialAfterCorruptFrameReplays: a corrupted frame kills a dialed
+// connection. The drop (download reschedule, redial armed on the
+// virtual clock) runs inside the tick that delivered the frame, so the
+// tick of the drop, the tick of the redial and the network's counters
+// are the same on every run, whatever the scheduling.
+func TestRedialAfterCorruptFrameReplays(t *testing.T) {
+	const latency = 2 * time.Millisecond
+	run := func() string {
+		h := NewHarness(t, 5, 2, LinkConfig{Latency: latency})
+		h.Connect(0, 1)
+		h.Settle(5)
+		if _, out := h.Nodes[0].PeerCounts(); out != 1 {
+			t.Fatalf("dialer has %d outbound peers before the fault, want 1", out)
+		}
+		h.Net.SetLink(h.Host(1), h.Host(0), LinkConfig{Latency: latency, CorruptRate: 1})
+		h.Nodes[1].SyncPeers()
+		dropTick, redialTick := -1, -1
+		for tick := 1; tick <= 50 && redialTick < 0; tick++ {
+			h.Settle(1)
+			_, out := h.Nodes[0].PeerCounts()
+			if dropTick < 0 && out == 0 {
+				dropTick = tick
+				h.Net.SetLink(h.Host(1), h.Host(0), LinkConfig{Latency: latency})
+			}
+			if dropTick >= 0 && out == 1 {
+				redialTick = tick
+			}
+		}
+		if dropTick < 0 || redialTick < 0 {
+			t.Fatalf("corrupt frame: drop at tick %d, redial at tick %d", dropTick, redialTick)
+		}
+		h.Settle(10)
+		return fmt.Sprintf("drop=%d redial=%d redials=%v %+v", dropTick, redialTick,
+			h.Metric(0, "p2p_redials_total"), h.Net.Stats())
+	}
+	first := run()
+	if second := run(); second != first {
+		t.Fatalf("same seed diverged:\n first: %s\nsecond: %s", first, second)
+	}
+	t.Log(first)
+	testutil.CheckReplay(t, "redial-after-corrupt-frame", first)
 }

@@ -61,8 +61,7 @@ type Node struct {
 	peers    map[int]*Peer
 	nextID   int
 	listener net.Listener
-	dialing  map[string]bool // addrs with a redial loop in flight
-	quit     chan struct{}
+	dialing  map[string]bool // addrs with a redial pending on the clock
 	wg       sync.WaitGroup
 	stopped  bool
 	policy   Policy
@@ -104,7 +103,6 @@ func NewNode(c *chain.Chain, pool *mempool.Pool, logger *slog.Logger) *Node {
 		sync:             newSyncMgr(),
 		peers:            make(map[int]*Peer),
 		dialing:          make(map[string]bool),
-		quit:             make(chan struct{}),
 		policy:           DefaultPolicy(),
 		orphanSrc:        make(map[chainhash.Hash]orphanSource),
 	}
@@ -236,6 +234,18 @@ func (n *Node) penalizeAddr(key string, points int32, reason string) bool {
 // SetTransport replaces the transport. Call before Listen or Dial.
 func (n *Node) SetTransport(t Transport) { n.transport = t }
 
+// SendQueueLen returns the number of messages queued to live peers and
+// not yet written to their connections.
+func (n *Node) SendQueueLen() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var queued int64
+	for _, p := range n.peers {
+		queued += p.unwritten.Load()
+	}
+	return queued
+}
+
 // SetTimeouts adjusts the send-queue stall and handshake timeouts. A
 // zero handshake timeout disables reaping. Call before Listen or Dial.
 func (n *Node) SetTimeouts(send, handshake time.Duration) {
@@ -244,8 +254,8 @@ func (n *Node) SetTimeouts(send, handshake time.Duration) {
 }
 
 // SetRedial adjusts the bounded redial policy for dialed peers that
-// drop: up to attempts tries with exponential backoff starting at base.
-// Call before Listen or Dial.
+// drop: up to attempts tries with exponential backoff starting at base,
+// timed on the node's clock. Call before Listen or Dial.
 func (n *Node) SetRedial(attempts int, base time.Duration) {
 	n.redialAttempts = attempts
 	n.redialBase = base
@@ -384,6 +394,11 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 	id := n.nextID
 	n.nextID++
 	p := newPeer(n, conn, id, pol, n.clk.Now())
+	// A connection that waits for its network to go idle (netsim) is
+	// handed the peer's queue: queued messages are invisible to it.
+	if w, ok := conn.(interface{ WatchSendQueue(func() int64) }); ok {
+		w.WatchSendQueue(p.unwritten.Load)
+	}
 	p.dialAddr = dialAddr
 	p.addrKey = key
 	p.inbound = inbound
@@ -407,14 +422,15 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		evict.close()
 	}
 
-	go func() {
-		defer n.wg.Done()
-		n.writeLoop(p)
-	}()
-	go func() {
-		defer n.wg.Done()
-		n.readLoop(p)
-	}()
+	// Handshake: announce our version — carrying our best-header tip, so
+	// the peer can seed its download scheduler with our claimed chain
+	// knowledge; the peer replies verack and both sides then sync. It is
+	// queued before the loops start, so the peer is never idle with its
+	// handshake unsent.
+	payload := wire.EncodeVersion(n.chain.HeaderTipHash(), uint64(n.chain.HeaderHeight()))
+	if err := p.send(wire.CmdVersion, payload); err != nil {
+		n.logDebug("version send failed", "peer", id, "err", err)
+	}
 
 	// A peer that never completes the handshake (hangs mid-handshake,
 	// wrong magic killing the read loop on their side) is reaped.
@@ -430,19 +446,20 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		}))
 	}
 
-	// Handshake: announce our version — carrying our best-header tip, so
-	// the peer can seed its download scheduler with our claimed chain
-	// knowledge; the peer replies verack and both sides then sync.
-	payload := wire.EncodeVersion(n.chain.HeaderTipHash(), uint64(n.chain.HeaderHeight()))
-	if err := p.send(wire.CmdVersion, payload); err != nil {
-		n.logDebug("version send failed", "peer", id, "err", err)
-	}
+	go func() {
+		defer n.wg.Done()
+		n.writeLoop(p)
+	}()
+	go func() {
+		defer n.wg.Done()
+		n.readLoop(p)
+	}()
 	return p
 }
 
-// dropPeer unregisters a dead peer and, for dialed peers, starts a
-// bounded redial loop so a mid-stream connection failure does not
-// silently shrink the peer set.
+// dropPeer unregisters a dead peer and, for dialed peers, schedules a
+// bounded redial so a mid-stream connection failure does not silently
+// shrink the peer set.
 func (n *Node) dropPeer(p *Peer) {
 	n.tel.disconnects.Inc()
 	if n.tel.tracer != nil {
@@ -455,9 +472,6 @@ func (n *Node) dropPeer(p *Peer) {
 		!n.scores.IsBanned(addrKeyOf(p.dialAddr))
 	if redial {
 		n.dialing[p.dialAddr] = true
-		// Safe: the first close of a peer always happens while at least
-		// one of its loop goroutines still holds a wg slot.
-		n.wg.Add(1)
 	}
 	n.mu.Unlock()
 	// Free the peer's download window; its slots move to the survivors.
@@ -466,51 +480,42 @@ func (n *Node) dropPeer(p *Peer) {
 	}
 	n.scheduleBodies(p)
 	if redial {
-		go func() {
-			defer n.wg.Done()
-			n.redial(p.dialAddr)
-		}()
+		n.redialAfter(p.dialAddr, 1, n.redialBase)
 	}
 }
 
-// redial retries an outbound address with exponential backoff.
-func (n *Node) redial(addr string) {
-	defer func() {
+// redialAfter arms redial attempt number attempt on the node's clock.
+// The dial runs inside the timer callback, so under a simulated clock
+// it happens while the clock advances, never concurrently with it. A
+// ban (imposed locally at any point) ends the redialing: reconnecting
+// to a misbehaving address would just re-open the attack surface.
+func (n *Node) redialAfter(addr string, attempt int, backoff time.Duration) {
+	n.clk.AfterFunc(backoff, func() {
+		n.mu.Lock()
+		stopped := n.stopped
+		n.mu.Unlock()
+		var conn net.Conn
+		if !stopped && !n.keeper().IsBanned(addrKeyOf(addr)) {
+			n.tel.redials.Inc()
+			var err error
+			if conn, err = n.transport.Dial(addr); err != nil {
+				n.logDebug("redial attempt failed", "addr", addr, "attempt", attempt, "max", n.redialAttempts, "err", err)
+				if attempt < n.redialAttempts {
+					n.redialAfter(addr, attempt+1, 2*backoff)
+					return
+				}
+				n.logInfo("redial giving up", "addr", addr, "attempts", n.redialAttempts)
+			}
+		}
+		// Clear the pending marker before registering the peer so an
+		// immediate re-drop can schedule a fresh redial.
 		n.mu.Lock()
 		delete(n.dialing, addr)
 		n.mu.Unlock()
-	}()
-	backoff := n.redialBase
-	for attempt := 1; attempt <= n.redialAttempts; attempt++ {
-		select {
-		case <-n.quit:
-			return
-		case <-time.After(backoff):
+		if conn != nil {
+			n.addConn(conn, addr)
 		}
-		backoff *= 2
-		// A ban (imposed locally at any point) permanently ends the
-		// redial loop: reconnecting to a misbehaving address would just
-		// re-open the attack surface.
-		if n.keeper().IsBanned(addrKeyOf(addr)) {
-			n.logDebug("redial abandoned: address banned", "addr", addr)
-			return
-		}
-		n.tel.redials.Inc()
-		conn, err := n.transport.Dial(addr)
-		if err != nil {
-			n.logDebug("redial attempt failed", "addr", addr, "attempt", attempt, "max", n.redialAttempts, "err", err)
-			continue
-		}
-		n.logDebug("redial succeeded", "addr", addr, "attempt", attempt)
-		// Clear the in-flight marker before registering the peer so an
-		// immediate re-drop can schedule a fresh redial loop.
-		n.mu.Lock()
-		delete(n.dialing, addr)
-		n.mu.Unlock()
-		n.addConn(conn, addr)
-		return
-	}
-	n.logInfo("redial giving up", "addr", addr, "attempts", n.redialAttempts)
+	})
 }
 
 // ConnectPipe wires two in-process nodes together with a synchronous
@@ -599,7 +604,6 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
-	close(n.quit)
 	l := n.listener
 	peers := make([]*Peer, 0, len(n.peers))
 	for _, p := range n.peers {
@@ -619,9 +623,11 @@ func (n *Node) writeLoop(p *Peer) {
 	for {
 		select {
 		case msg := <-p.sendCh:
-			if err := wire.WriteMessage(p.conn, n.magic, &wire.Message{
+			err := wire.WriteMessage(p.conn, n.magic, &wire.Message{
 				Command: msg.command, Payload: msg.payload,
-			}); err != nil {
+			})
+			p.unwritten.Add(-1)
+			if err != nil {
 				p.close()
 				return
 			}
@@ -953,10 +959,13 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		hash := blk.BlockHash()
 		p.markKnown(wire.InvTypeBlock, hash)
 		solicited := p.consumeRequest(wire.InvTypeBlock, hash, now)
-		// Any delivery settles the download assignment — even an invalid
-		// or duplicate one frees the slot for rescheduling.
-		n.syncDelivered(hash)
 		status, err := n.chain.ProcessBlock(&blk)
+		// Any delivery settles the download assignment — even an invalid
+		// or duplicate one frees the slot for rescheduling. It is freed
+		// only once the chain holds the body: freed earlier, another
+		// peer's scheduleBodies would see the body as neither in flight
+		// nor stored and request it a second time.
+		n.syncDelivered(hash)
 		if err != nil {
 			n.logDebug("block rejected", "peer", p.id, "block", hash.String(), "err", err)
 			if store.IsStoreFault(err) {

@@ -15,6 +15,7 @@ import (
 	"typecoin/internal/p2p"
 	"typecoin/internal/proof"
 	"typecoin/internal/script"
+	"typecoin/internal/telemetry"
 	"typecoin/internal/testutil"
 	"typecoin/internal/typecoin"
 	"typecoin/internal/wallet"
@@ -106,6 +107,44 @@ func TestInitialBlockDownload(t *testing.T) {
 	waitFor(t, "node 1 sync to height 20", func() bool {
 		return h.nodes[1].Chain().BestHeight() == 20
 	})
+}
+
+// TestParallelBodyDownloadFetchesEachBodyOnce: a laggard catching up
+// from four donors at once, over pipes whose read loops run
+// concurrently, receives every body exactly once. The shared clock never
+// moves, so no request expires or stalls: a second copy of a body could
+// only come from the scheduler asking for a body another peer's read
+// loop is still handing to the chain.
+func TestParallelBodyDownloadFetchesEachBodyOnce(t *testing.T) {
+	const donors, depth = 4, 300
+	h := newNetHarness(t, donors+1)
+	w := wallet.New(h.nodes[0].Chain(), testutil.NewEntropy(t.Name()))
+	payout, err := w.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := miner.New(h.nodes[0].Chain(), nil, h.clk).MineN(depth, payout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, donor := range h.nodes[1:donors] {
+		for _, blk := range blocks {
+			if _, err := donor.Chain().ProcessBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	laggard := h.nodes[donors]
+	reg := telemetry.NewRegistry()
+	laggard.Chain().SetTelemetry(reg, nil)
+	for _, donor := range h.nodes[:donors] {
+		p2p.ConnectPipe(laggard, donor)
+	}
+	tip := blocks[depth-1].BlockHash()
+	waitFor(t, "laggard at the donor tip", func() bool { return laggard.Chain().BestHash() == tip })
+	if dup, _ := reg.Value("chain_duplicate_blocks_total"); dup != 0 {
+		t.Fatalf("laggard received %v of %d bodies twice", dup, depth)
+	}
 }
 
 func TestTxPropagationAndMining(t *testing.T) {

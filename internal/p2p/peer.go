@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"typecoin/internal/banscore"
@@ -50,6 +51,9 @@ type Peer struct {
 
 	sendCh chan *queuedMsg
 	done   chan struct{}
+	// unwritten counts messages queued on sendCh and not yet written to
+	// conn; a dead peer's count is never read again.
+	unwritten atomic.Int64
 
 	mu         sync.Mutex
 	handshaken bool
@@ -202,12 +206,15 @@ func (p *Peer) send(command string, payload []byte) error {
 	if closed {
 		return errPeerClosed
 	}
+	p.unwritten.Add(1)
 	select {
 	case p.sendCh <- &queuedMsg{command, payload}:
 		return nil
 	case <-p.done:
+		p.unwritten.Add(-1)
 		return errPeerClosed
 	case <-time.After(p.node.sendTimeout):
+		p.unwritten.Add(-1)
 		p.close()
 		return fmt.Errorf("p2p: peer %d send queue stalled", p.id)
 	}
@@ -246,8 +253,8 @@ func (p *Peer) bestKnownHeader() [32]byte {
 	return p.bestKnown
 }
 
-// setHandshakeTimer installs the reaper timer (guarded by p.mu: the read
-// loop may race ahead of the registering goroutine).
+// setHandshakeTimer installs the reaper timer (guarded by p.mu: the peer
+// is already registered, so close may run concurrently).
 func (p *Peer) setHandshakeTimer(t *time.Timer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -282,6 +289,9 @@ func (p *Peer) close() {
 		t.Stop()
 	}
 	close(p.done)
-	p.conn.Close()
+	// The connection closes last: until then a simulated network still
+	// counts its reader as busy, so the drop's reschedule and redial
+	// happen before the network can be called idle.
 	p.node.dropPeer(p)
+	p.conn.Close()
 }

@@ -16,6 +16,11 @@ import (
 	"typecoin/internal/wallet"
 )
 
+// simTickLimit bounds each wait below in 20ms virtual ticks. Every
+// tick returns only once the simulated network is idle, so the bound
+// is the same on any host.
+const simTickLimit = 5000
+
 // TestSimRestartResyncFromPersistedTip: a persistent node that synced
 // part of the chain, shut down, and restarted from the same data
 // directory must come back at its recorded tip — not genesis — and
@@ -29,7 +34,6 @@ func TestSimRestartResyncFromPersistedTip(t *testing.T) {
 	settle := func(ticks int) {
 		for k := 0; k < ticks; k++ {
 			clk.Advance(20 * time.Millisecond)
-			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -94,13 +98,11 @@ func TestSimRestartResyncFromPersistedTip(t *testing.T) {
 
 	waitHeight := func(c *chain.Chain, nodes []*p2p.Node, want int) {
 		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for k := 0; time.Now().Before(deadline); k++ {
+		for k := 0; k < simTickLimit; k++ {
 			if c.BestHeight() == want && c.BestHash() == chA.BestHash() {
 				return
 			}
 			clk.Advance(20 * time.Millisecond)
-			time.Sleep(time.Millisecond)
 			if k%100 == 99 {
 				for _, node := range nodes {
 					node.SyncPeers()
@@ -215,9 +217,8 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 	// download is still in flight, then the next journal write tears —
 	// the on-disk state a SIGKILL mid-write leaves behind.
 	chB, nodeB, stB, _ := openB()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if time.Now().After(deadline) {
+	for k := 0; ; k++ {
+		if k == simTickLimit {
 			t.Fatalf("never reached mid-sync: header %d connected %d",
 				chB.HeaderHeight(), chB.BestHeight())
 		}
@@ -225,13 +226,11 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 			break
 		}
 		clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
 	}
 	connectedAtCrash := chB.BestHeight()
 	stB.CrashNextApply(10)
 	for k := 0; k < 10; k++ {
 		clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
 	}
 	nodeB.Stop()
 	_ = stB.Close() // poisoned: the torn frame already hit the disk
@@ -253,13 +252,11 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 
 	// Phase 3: the resumed download fetches only the missing suffix —
 	// every already-connected body stays local (no duplicate deliveries).
-	deadline = time.Now().Add(30 * time.Second)
 	for k := 0; chB2.BestHash() != chA.BestHash(); k++ {
-		if time.Now().After(deadline) {
+		if k == simTickLimit {
 			t.Fatalf("resync stuck at height %d (want %d)", chB2.BestHeight(), tipHeight)
 		}
 		clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
 		if k%100 == 99 {
 			nodeA.SyncPeers()
 			nodeB2.SyncPeers()

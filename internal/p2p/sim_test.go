@@ -14,6 +14,7 @@ import (
 	"typecoin/internal/logic"
 	"typecoin/internal/netsim"
 	"typecoin/internal/proof"
+	"typecoin/internal/testutil"
 	"typecoin/internal/typecoin"
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
@@ -25,10 +26,13 @@ import (
 // sides, heals, and asserts the system converges on the blockchain-order
 // winner — on every layer: chain, UTXO set, typecoin ledger, mempool.
 //
-// Determinism: blocks are mined on a fixed virtual-timestamp schedule
-// and every mine sits behind an explicit wait-point, so the end state
-// depends only on the scenario script and the netsim seed. Override the
-// seed list with SIM_SEED=<n> to replay a single failing seed.
+// Determinism: every virtual clock tick runs the simulated network to
+// quiescence (netsim delivers one frame at a time and waits for every
+// handler and send queue to go idle), and blocks are mined on a fixed
+// virtual-timestamp schedule, so the end state depends only on the
+// scenario script and the netsim seed — not on host speed, GOMAXPROCS
+// or the race detector. Override the seed list with SIM_SEED=<n> to
+// replay a single failing seed.
 
 // simFaults is the lossy link profile used by the scenario: latency and
 // jitter, plus drop, duplication, reordering and (rare) corruption on
@@ -334,6 +338,9 @@ func TestSimSameSeedReplaysExactly(t *testing.T) {
 	if first != second {
 		t.Fatalf("same seed diverged:\n first: %+v\nsecond: %+v", first, second)
 	}
+	// Reruns in this process (-cpu 1,2,8, -count) must match too; make
+	// replay compares the logged digest across race and non-race builds.
+	testutil.CheckReplay(t, "partition/seed=99", fmt.Sprintf("%+v", first))
 }
 
 // TestSimTransportSmoke: nodes over the simulated transport on a clean

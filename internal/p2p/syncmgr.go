@@ -296,7 +296,10 @@ func (n *Node) scheduleBodies(except *Peer) {
 	sm.expireLocked(now, 2*pol.StallTimeout)
 	next := 0
 	for _, nb := range need {
-		if _, busy := sm.inflight[nb.Hash]; busy {
+		// need was read before sm.mu: a body another read loop has since
+		// handed to the chain is no longer in flight, and must not be
+		// requested again.
+		if _, busy := sm.inflight[nb.Hash]; busy || n.chain.HaveBlock(nb.Hash) {
 			continue
 		}
 		var target *Peer

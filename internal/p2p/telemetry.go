@@ -70,6 +70,9 @@ func (n *Node) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		_, out := n.PeerCounts()
 		return float64(out)
 	})
+	reg.GaugeFunc("p2p_send_queue", "Messages queued to peers and not yet written.", func() float64 {
+		return float64(n.SendQueueLen())
+	})
 	reg.GaugeFunc("p2p_banned_addrs", "Addresses currently banned.", func() float64 {
 		return float64(len(n.keeper().Banned()))
 	})

@@ -152,10 +152,11 @@ func TestGroupCrashMidWindowRecoversPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fault does not implement ApplyGroup, so the committer falls back
-	// to per-batch Apply and the 3rd batch of the group dies, tearing
-	// 7 bytes of its frame onto disk.
-	fault := NewFault(inner, 3, 7)
+	// FaultEngine does not implement ApplyGroup, so the committer falls
+	// back to per-batch Apply and the 3rd batch of the group dies,
+	// tearing 7 bytes of its frame onto disk.
+	fault := NewFaultEngine(inner, 0)
+	fault.Inject(FaultRule{Op: OpApply, Kind: KindKill, Mode: ModeOneShot, After: 2, TearBytes: 7})
 	g := longGroup(fault)
 
 	for h := 1; h <= 5; h++ {

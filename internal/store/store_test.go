@@ -336,7 +336,8 @@ func TestFaultWrapperKillsNthApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewFault(inner, 3, 10)
+	st := NewFaultEngine(inner, 0)
+	st.Inject(FaultRule{Op: OpApply, Kind: KindKill, Mode: ModeOneShot, After: 2, TearBytes: 10})
 	for i := 0; i < 2; i++ {
 		b := NewBatch()
 		b.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))

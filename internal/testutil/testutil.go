@@ -5,7 +5,9 @@ package testutil
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +47,24 @@ func (e *Entropy) Read(p []byte) (int, error) {
 }
 
 var _ io.Reader = (*Entropy)(nil)
+
+// replayDigests holds the first digest each scenario logged in this
+// test process, so reruns under -cpu 1,2,8 or -count must match it.
+var replayDigests sync.Map
+
+// CheckReplay logs a digest of a scenario's deterministic output as
+// "replay digest <key>=<hex>" and fails if an earlier run of the same
+// scenario in this process logged a different one. make replay also
+// compares the logged digests between the race and non-race builds.
+func CheckReplay(tb testing.TB, key, output string) {
+	tb.Helper()
+	sum := sha256.Sum256([]byte(output))
+	digest := hex.EncodeToString(sum[:8])
+	tb.Logf("replay digest %s=%s", key, digest)
+	if prev, loaded := replayDigests.LoadOrStore(key, digest); loaded && prev != digest {
+		tb.Fatalf("%s replayed to digest %s; an earlier run in this process gave %s", key, digest, prev)
+	}
+}
 
 // Harness bundles a regtest node's components with a funded wallet.
 type Harness struct {
